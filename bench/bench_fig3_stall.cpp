@@ -9,7 +9,8 @@
 // channels (stall until granted), optimistic channels (run ahead, roll
 // back), across cross-traffic rates — the trade the paper's §2.2.4
 // describes ("if there isn't much communication expected between
-// subsystems, it is often reasonable" to run optimistically).
+// subsystems, it is often reasonable" to run optimistically).  The process
+// exits non-zero when any configuration loses events.
 #include <chrono>
 
 #include "bench_util.hpp"
@@ -89,6 +90,7 @@ int main() {
   header("Fig. 3: the consistency stall, and what each strategy pays");
   JsonReport report("fig3_stall");
   int sweep_index = 0;
+  bool lost_events = false;
 
   std::printf("\n%-22s %10s %10s %10s %10s\n", "cross-traffic",
               "single[ms]", "consv[ms]", "optim[ms]", "rollbacks");
@@ -111,8 +113,10 @@ int main() {
                 optimistic.seconds * 1e3,
                 static_cast<unsigned long long>(optimistic.rollbacks));
     if (conservative.delivered != kLocalEvents + sweep.events ||
-        optimistic.delivered != kLocalEvents + sweep.events)
+        optimistic.delivered != kLocalEvents + sweep.events) {
       note("  !! a configuration lost events");
+      lost_events = true;
+    }
     const std::string prefix = "sweep" + std::to_string(sweep_index++) + "_";
     report.text(prefix + "label", sweep.label);
     report.metric(prefix + "single_seconds", single);
@@ -123,5 +127,5 @@ int main() {
   note("\nthe single-host kernel never stalls (Fig. 3's hypothetical); the\n"
        "conservative subsystem waits for safe times; the optimistic one\n"
        "runs ahead and pays in rollbacks as cross-traffic grows.");
-  return 0;
+  return lost_events ? 1 : 0;
 }

@@ -10,6 +10,9 @@
 //     downlink at each of the four library levels, local and remote;
 //   * DMA bus-width sweep — the burst engine at 1/2/4/8 bytes per cycle,
 //     showing the DMA transfer cost the figure's arrow stands for.
+// The process exits non-zero when a page load does not complete, or when
+// the local and remote virtual load times differ: distribution must never
+// change simulated behaviour.
 #include <chrono>
 
 #include "bench_util.hpp"
@@ -30,10 +33,21 @@ WubbleUConfig config_for(const RunLevel& level) {
 }
 
 struct Run {
+  bool completed = false;
   double virtual_load_ms = 0;  // request -> page done, virtual
   double wall_ms = 0;
   std::uint64_t events = 0;
 };
+
+/// Reads the virtual request -> page-done time of the run's single load.
+void read_load(const WubbleUHandles& h, Run& run) {
+  run.completed = h.ui->completed() == 1;
+  if (!run.completed) return;
+  const auto& load = h.ui->loads()[0];
+  run.virtual_load_ms =
+      static_cast<double>((load.completed_at - load.requested_at).ticks()) /
+      1e6;
+}
 
 Run run_local(const RunLevel& level) {
   Scheduler sched("wubbleu");
@@ -42,12 +56,7 @@ Run run_local(const RunLevel& level) {
   Run run;
   run.wall_ms = timed([&] { sched.run(); }) * 1e3;
   run.events = sched.stats().events_dispatched;
-  if (h.ui->completed() == 1) {
-    const auto& load = h.ui->loads()[0];
-    run.virtual_load_ms =
-        static_cast<double>((load.completed_at - load.requested_at).ticks()) /
-        1e6;
-  }
+  read_load(h, run);
   return run;
 }
 
@@ -72,12 +81,7 @@ Run run_remote(const RunLevel& level) {
                 1e3;
   run.events = handheld.scheduler().stats().events_dispatched +
                chip.scheduler().stats().events_dispatched;
-  if (h.ui->completed() == 1) {
-    const auto& load = h.ui->loads()[0];
-    run.virtual_load_ms =
-        static_cast<double>((load.completed_at - load.requested_at).ticks()) /
-        1e6;
-  }
+  read_load(h, run);
   return run;
 }
 
@@ -86,6 +90,7 @@ Run run_remote(const RunLevel& level) {
 int main() {
   header("Fig. 6: the chosen architecture, executed (chip local vs remote)");
   JsonReport report("fig6_architecture");
+  bool ok = true;
 
   std::printf("\n%-18s %14s %14s %12s %14s %14s %12s\n", "detail level",
               "local virt[ms]", "local wall[ms]", "local evts",
@@ -106,6 +111,13 @@ int main() {
     report.metric(prefix + "remote_virtual_ms", remote.virtual_load_ms);
     report.metric(prefix + "local_events", local.events);
     report.metric(prefix + "remote_events", remote.events);
+    if (!local.completed || !remote.completed) {
+      note("  !! page load did not complete");
+      ok = false;
+    } else if (local.virtual_load_ms != remote.virtual_load_ms) {
+      note("  !! virtual load time differs local vs remote");
+      ok = false;
+    }
   }
   note("\nvirtual page-load time is identical local vs remote at every level\n"
        "(distribution never changes simulated behaviour); wall time is what\n"
@@ -120,5 +132,5 @@ int main() {
     std::printf("%12llu %18.3f\n", static_cast<unsigned long long>(width),
                 ms);
   }
-  return 0;
+  return ok ? 0 : 1;
 }

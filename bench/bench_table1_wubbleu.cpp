@@ -21,7 +21,11 @@
 //   * remote word is the worst configuration by a wide margin,
 //   * remote packet remains usable ("fast enough to allow the designer to
 //     play with the simulated hardware").
+// The process exits non-zero when any of the four checks is VIOLATED or a
+// page load did not complete, so a CI step running it gates on the shape.
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "wubbleu/system.hpp"
@@ -40,6 +44,14 @@ WubbleUConfig page_config(const RunLevel& level) {
   return config;
 }
 
+/// Counts failed checks; main() returns non-zero when any failed.
+int g_failures = 0;
+
+void fail(const std::string& what) {
+  note("!! " + what);
+  ++g_failures;
+}
+
 struct Row {
   std::string location;
   std::string detail;
@@ -54,7 +66,7 @@ Row run_local(const RunLevel& level) {
   sched.init();
   Row row{.location = "local", .detail = level.name};
   row.seconds = timed([&] { sched.run(); });
-  if (h.ui->completed() != 1) note("!! local run did not complete");
+  if (h.ui->completed() != 1) fail("local run did not complete");
   row.events = sched.stats().events_dispatched;
   return row;
 }
@@ -86,11 +98,40 @@ Row run_remote(const RunLevel& level) {
   row.seconds = timed([&] {
     cluster.run_all(dist::Subsystem::RunConfig{.stall_timeout = 60'000ms});
   });
-  if (h.ui->completed() != 1) note("!! remote run did not complete");
+  if (h.ui->completed() != 1) fail("remote run did not complete");
   row.events = handheld.scheduler().stats().events_dispatched +
                chip.scheduler().stats().events_dispatched;
   row.channel_msgs = chip.stats().events_sent + handheld.stats().events_sent;
   return row;
+}
+
+/// Reference: native load, no simulation ("HotJava" row).  The page is
+/// built outside the timed region, just as the simulated gateway builds its
+/// PageStore before the simulation clock starts.  The row is the median of
+/// several warm samples: one cold sample pays first-touch faults and cold
+/// caches, and the "remote packet usable" check divides by this number.
+Row run_native() {
+  constexpr int kSamples = 7;
+  const HttpResponse prebuilt = make_page(PageSpec{});
+  std::vector<double> samples;
+  for (int i = 0; i <= kSamples; ++i) {
+    const double seconds = timed([&] {
+      if (native_page_load(prebuilt).images_decoded != 4)
+        fail("native load incomplete");
+    });
+    if (i > 0) samples.push_back(seconds);  // sample 0 warms up
+  }
+  std::nth_element(samples.begin(), samples.begin() + kSamples / 2,
+                   samples.end());
+  return Row{.location = "n/a",
+             .detail = "native (HotJava ref)",
+             .seconds = samples[kSamples / 2]};
+}
+
+/// Prints one of the paper's qualitative claims and counts a violation.
+void check(const char* claim, bool holds) {
+  std::printf("  %s: %s\n", claim, holds ? "HOLDS" : "VIOLATED");
+  if (!holds) ++g_failures;
 }
 
 }  // namespace
@@ -99,15 +140,7 @@ int main() {
   header("Table 1: WubbleU page load (66 KB), five configurations");
   JsonReport report("table1_wubbleu");
 
-  // Reference: native load, no simulation ("HotJava" row).  The page is
-  // built outside the timed region, just as the simulated gateway builds
-  // its PageStore before the simulation clock starts.
-  const HttpResponse prebuilt = make_page(PageSpec{});
-  Row reference{.location = "n/a", .detail = "native (HotJava ref)"};
-  reference.seconds = timed([&] {
-    const NativeLoadResult r = native_page_load(prebuilt);
-    if (r.images_decoded != 4) note("!! native load incomplete");
-  });
+  const Row reference = run_native();
 
   const Row local_word = run_local(runlevels::kWord);
   const Row local_packet = run_local(runlevels::kPacket);
@@ -156,16 +189,11 @@ int main() {
                             remote_word.seconds > local_packet.seconds;
   const bool native_fastest_or_equal =
       reference.seconds <= remote_packet.seconds;
-  std::printf("  word >> packet locally   : %s\n",
-              word_worse_locally ? "HOLDS" : "VIOLATED");
-  std::printf("  word >> packet remotely  : %s\n",
-              word_worse_remotely ? "HOLDS" : "VIOLATED");
-  std::printf("  remote word is the worst : %s\n",
-              remote_worst ? "HOLDS" : "VIOLATED");
-  std::printf("  remote packet usable (within ~100x of native, paper 149x): %s\n",
-              remote_packet.seconds < 150 * reference.seconds &&
-                      native_fastest_or_equal
-                  ? "HOLDS"
-                  : "VIOLATED");
-  return 0;
+  check("word >> packet locally  ", word_worse_locally);
+  check("word >> packet remotely ", word_worse_remotely);
+  check("remote word is the worst", remote_worst);
+  check("remote packet usable (within 150x of native, paper 149x)",
+        remote_packet.seconds < 150 * reference.seconds &&
+            native_fastest_or_equal);
+  return g_failures == 0 ? 0 : 1;
 }

@@ -2,10 +2,14 @@
 
 #include <poll.h>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <limits>
+#include <ctime>
 
 #include "base/error.hpp"
 
@@ -37,20 +41,16 @@ void ChannelSet::replace_link(ChannelId id, transport::LinkPtr link) {
   endpoint.link().set_ready_signal(signal_);
 }
 
-std::chrono::milliseconds ChannelSet::prepare_wait(
-    std::vector<pollfd>& fds, std::chrono::milliseconds timeout) {
+Clock::duration ChannelSet::prepare_wait(std::vector<pollfd>& fds,
+                                         Clock::duration timeout) {
   // Frames parked inside fault/latency decorators mature silently: clamp
   // the wait to the earliest reported release so they are picked up on
   // time regardless of how long the caller was willing to sleep.
   const Clock::time_point now = Clock::now();
-  auto wait = std::max(timeout, std::chrono::milliseconds(0));
+  auto wait = std::max(timeout, Clock::duration::zero());
   for (const auto& c : channels_) {
-    if (const auto due = c->link().next_ready_time()) {
-      const auto remaining =
-          std::chrono::ceil<std::chrono::milliseconds>(*due - now);
-      wait = std::min(wait,
-                      std::max(remaining, std::chrono::milliseconds(0)));
-    }
+    if (const auto due = c->link().next_ready_time())
+      wait = std::min(wait, std::max(*due - now, Clock::duration::zero()));
   }
 
   // Drain stale pulses BEFORE building the poll set: a pulse racing in
@@ -62,7 +62,7 @@ std::chrono::milliseconds ChannelSet::prepare_wait(
   // it silently would stall that frame for the full idle timeout.  Clamp
   // the wait to zero so the caller re-inspects at once; at worst the frame
   // was already consumed and the caller pays one empty re-slice.
-  if (signal_->drain()) wait = std::chrono::milliseconds(0);
+  if (signal_->drain()) wait = Clock::duration::zero();
 
   fds.push_back(pollfd{.fd = signal_->fd(), .events = POLLIN, .revents = 0});
   for (const auto& c : channels_) {
@@ -73,7 +73,7 @@ std::chrono::milliseconds ChannelSet::prepare_wait(
   return wait;
 }
 
-bool ChannelSet::wait_any(std::chrono::milliseconds timeout) {
+bool ChannelSet::wait_any(Clock::duration timeout) {
   // Allocating the poll set per call is fine: this is the idle path.
   std::vector<pollfd> fds;
   fds.reserve(channels_.size() + 1);
@@ -82,11 +82,7 @@ bool ChannelSet::wait_any(std::chrono::milliseconds timeout) {
 
   const Clock::time_point deadline = Clock::now() + wait;
   for (;;) {
-    const auto remaining =
-        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
-    const int wait_ms = static_cast<int>(std::clamp<std::int64_t>(
-        remaining.count(), 0, std::numeric_limits<int>::max()));
-    const int pr = ::poll(fds.data(), fds.size(), wait_ms);
+    const int pr = wait_fds(fds, deadline - Clock::now());
     if (pr < 0) {
       if (errno == EINTR) {
         // A signal interrupted the poll.  Reporting that as either a wake
@@ -103,6 +99,23 @@ bool ChannelSet::wait_any(std::chrono::milliseconds timeout) {
   // A clamped timeout that expired is a wake too: the matured frame is now
   // receivable even though no fd fired.
   return clamped;
+}
+
+int wait_fds(std::vector<pollfd>& fds, Clock::duration timeout) {
+#ifdef __linux__
+  // The default 50 us slack lets the kernel batch this thread's wakes; a
+  // 100 us latency-held frame would pay half its delay again in slack.
+  // Timer slack is a property of the calling thread, so set it where every
+  // waiting thread passes: the run loop, pool workers, external loops.
+  [[maybe_unused]] thread_local const bool precise =
+      ::prctl(PR_SET_TIMERSLACK, 1UL) == 0;
+#endif
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::max(timeout, Clock::duration::zero()))
+                      .count();
+  const timespec ts{.tv_sec = static_cast<time_t>(ns / 1'000'000'000),
+                    .tv_nsec = static_cast<long>(ns % 1'000'000'000)};
+  return ::ppoll(fds.data(), fds.size(), &ts, nullptr);
 }
 
 }  // namespace pia::dist

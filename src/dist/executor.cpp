@@ -1,7 +1,5 @@
 #include "dist/executor.hpp"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -10,7 +8,6 @@
 #include <cstring>
 #include <deque>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -20,6 +17,7 @@
 #endif
 
 #include "base/error.hpp"
+#include "dist/channel_set.hpp"
 
 namespace pia::dist {
 namespace {
@@ -190,19 +188,17 @@ class Pool {
   /// a possible wake (fd readiness or a decorator-held frame maturing).
   bool wait_batch(const std::vector<Entry>& batch) {
     std::vector<pollfd> fds;
-    auto wait = std::chrono::milliseconds::max();
+    auto wait = Clock::duration::max();
     bool clamped = false;
     for (const Entry& entry : batch) {
       ChannelSet& channels = entry.subsystem->channel_set();
-      const auto hint = entry.subsystem->idle_wait_hint();
+      const Clock::duration hint = entry.subsystem->idle_wait_hint();
       const auto bounded = channels.prepare_wait(fds, hint);
       clamped |= bounded < hint;
       wait = std::min(wait, bounded);
     }
     if (fds.empty()) return false;
-    const int wait_ms = static_cast<int>(std::clamp<std::int64_t>(
-        wait.count(), 0, std::numeric_limits<int>::max()));
-    const int pr = ::poll(fds.data(), fds.size(), wait_ms);
+    const int pr = wait_fds(fds, wait);
     if (pr < 0) {
       if (errno == EINTR) return true;  // retried as a spurious wake
       raise(ErrorKind::kTransport,

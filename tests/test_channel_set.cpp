@@ -3,24 +3,37 @@
 // check that wake latency on an 8-channel star does not scale with the
 // channel count (the old idle path polled channels sequentially at 1 ms
 // each, so traffic on the last channel paid N × 1 ms before being noticed).
+// The sub-millisecond cases pin that a frame held by a 100 us latency
+// decorator costs about 100 us of idle wait, in both the single-subsystem
+// wait_any and the pooled executor's batch wait — not a whole millisecond.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dist/channel_set.hpp"
+#include "dist_helpers.hpp"
 #include "transport/latency.hpp"
 #include "transport/link.hpp"
 
 namespace pia::dist {
 namespace {
 
+using std::chrono::microseconds;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
+
+/// Per-frame budget of the sub-millisecond cases: the 100 us injected
+/// latency plus generous wake and scheduling overhead.  Waits rounded up to
+/// whole milliseconds cost at least 1 ms per frame, so the two separate
+/// even on a loaded machine.
+constexpr auto kFrameBudget = microseconds(400);
+constexpr auto kFrameLatency = microseconds(100);
 
 milliseconds since(steady_clock::time_point start) {
   return std::chrono::ceil<milliseconds>(steady_clock::now() - start);
@@ -121,6 +134,91 @@ TEST(ChannelSetWait, ClampsToBufferedDecoratorFrame) {
     got = set[0].link().try_recv();
   }
   EXPECT_TRUE(got.has_value());
+}
+
+/// Blocks in wait_any until the set's only channel yields a frame.
+Bytes recv_blocking(ChannelSet& set) {
+  for (;;) {
+    if (auto got = set[0].link().try_recv()) return std::move(*got);
+    set.wait_any(milliseconds(10));
+  }
+}
+
+std::unique_ptr<ChannelEndpoint> latency_endpoint(transport::LinkPtr link) {
+  auto endpoint = std::make_unique<ChannelEndpoint>(
+      "delayed", ChannelMode::kConservative, std::move(link), 1);
+  endpoint->index = 0;
+  return endpoint;
+}
+
+TEST(ChannelSetWait, SubMillisecondLatencyFramesCostTheirLatency) {
+  // Ping-pong through a 100 us latency pair, each side idling in wait_any
+  // until the decorator releases the frame.  Every frame is on the critical
+  // path, so the exchange takes about kFrames × 100 us when the decorator's
+  // release deadline reaches the kernel intact.
+  constexpr int kFrames = 200;
+  auto pair = transport::make_latency_pair(
+      transport::LatencyModel{.base = kFrameLatency});
+  ChannelSet left;
+  ChannelSet right;
+  left.add(latency_endpoint(std::move(pair.a)));
+  right.add(latency_endpoint(std::move(pair.b)));
+
+  const auto start = steady_clock::now();
+  std::thread echo([&] {
+    for (int i = 0; i < kFrames / 2; ++i)
+      right[0].link().send(recv_blocking(right));
+  });
+  for (int i = 0; i < kFrames / 2; ++i) {
+    left[0].link().send(payload());
+    EXPECT_EQ(recv_blocking(left), payload());
+  }
+  echo.join();
+  const auto elapsed = steady_clock::now() - start;
+
+  EXPECT_GE(elapsed, kFrames * kFrameLatency);  // the latency was applied
+  EXPECT_LT(elapsed, kFrames * kFrameBudget);
+}
+
+/// CPU time the whole process has used so far.
+steady_clock::duration process_cpu() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return std::chrono::seconds(ts.tv_sec) + std::chrono::nanoseconds(ts.tv_nsec);
+}
+
+TEST(ChannelSetWait, PooledSubMillisecondLatencyFramesCostTheirLatency) {
+  // The same bound through NodeExecutor's batch wait: a producer -> relay
+  // -> sink loop over one 100 us conservative channel, each side on a
+  // pooled node, so every idle wait goes through prepare_wait + the pool.
+  constexpr std::uint64_t kEvents = 50;
+  testing::SplitLoop loop(kEvents, ChannelMode::kConservative,
+                          Wire::kLoopback,
+                          transport::LatencyModel{.base = kFrameLatency});
+  loop.cluster.node("nodeA").set_worker_threads(1);
+  loop.cluster.node("nodeB").set_worker_threads(1);
+  loop.cluster.start_all();
+
+  const auto start = steady_clock::now();
+  const auto cpu_start = process_cpu();
+  const auto outcomes = loop.cluster.run_all(
+      Subsystem::RunConfig{.stall_timeout = milliseconds(20'000)});
+  const auto cpu = process_cpu() - cpu_start;
+  const auto elapsed = steady_clock::now() - start;
+
+  for (const auto& [name, outcome] : outcomes)
+    EXPECT_EQ(outcome, Subsystem::RunOutcome::kQuiescent) << name;
+  EXPECT_EQ(loop.sink->received.size(), kEvents);
+  const std::uint64_t frames =
+      loop.a->channel_set().at(loop.channels.a).link().stats().frames_sent +
+      loop.b->channel_set().at(loop.channels.b).link().stats().frames_sent;
+  ASSERT_GT(frames, 0u);
+  // Bound the time spent blocked, not computing: sanitizer builds multiply
+  // the slices' CPU cost several times over, but not the idle waits this
+  // case pins.
+  EXPECT_LT(elapsed - cpu, static_cast<std::int64_t>(frames) * kFrameBudget)
+      << frames << " frames, " << elapsed.count() << " ns wall, "
+      << cpu.count() << " ns cpu";
 }
 
 }  // namespace
